@@ -7,11 +7,12 @@ deterministic O(Tm) series, the Fogaras-Racz coupled query, and one
 exact all-pairs iteration (the O(n^2)-memory competitor).
 
 The ``TestKernelComparison`` block times the array-native kernels
-(``kernel="array"``) against the dict-based reference path on the
-sanity-size graph and writes a machine-readable ``BENCH_kernels.json``
-sidecar at the repo root recording the speedups.  CI runs it in quick
-mode (``REPRO_BENCH_QUICK=1``) and fails when the array kernels are
-slower than the reference path.
+against the dict-based reference oracle (``tests/properties/
+sketch_oracle.py``) on the sanity-size graph and writes a
+machine-readable ``BENCH_kernels.json`` sidecar at the repo root
+recording the speedups.  CI runs it in quick mode
+(``REPRO_BENCH_QUICK=1``) and fails when the array kernels are slower
+than the reference path.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ from repro.core.exact import exact_simrank
 from repro.core.index import build_signatures
 from repro.core.linear import resolve_diagonal, single_pair_series, single_source_series
 from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
-from repro.core.walks import FlatSketch, PositionSketch, WalkEngine, segment_collisions
+from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.utils.bench import write_sidecar
+from tests.properties.sketch_oracle import (
+    PositionSketch,
+    reference_batch,
+    reference_signatures,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +155,7 @@ def test_single_pair_with_ci(benchmark, web_graph_medium, bench_config):
 
 
 # ---------------------------------------------------------------------------
-# Array kernels vs the dict-based reference path (PR 4's tentpole).
+# Array kernels vs the dict-based reference oracle.
 # ---------------------------------------------------------------------------
 
 SIDECAR_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
@@ -236,40 +242,33 @@ class TestKernelComparison:
         np.testing.assert_allclose(array_collisions(), dict_collisions(), atol=1e-12)
 
         # 3. Fused batch estimate vs the per-candidate reference loop.
-        array_estimator = SingleSourceEstimator(
-            graph, u, config=config.with_(kernel="array"), seed=0
-        )
-        reference_estimator = SingleSourceEstimator(
-            graph, u, config=config.with_(kernel="reference"), seed=0
-        )
+        estimator = SingleSourceEstimator(graph, u, config=config, seed=0)
+        others = np.asarray(candidates, dtype=np.int64)
+
+        def reference_estimate() -> np.ndarray:
+            return reference_batch(estimator, others, config.r_pair)[0]
+
         timings["batch_estimate"] = {
             "array": _timed(
-                lambda: array_estimator.estimate_batch(candidates, R=config.r_pair),
+                lambda: estimator.estimate_batch(candidates, R=config.r_pair),
                 repeats,
             ),
-            "reference": _timed(
-                lambda: reference_estimator.estimate_batch(candidates, R=config.r_pair),
-                repeats,
-            ),
+            "reference": _timed(reference_estimate, repeats),
         }
         np.testing.assert_allclose(
-            array_estimator.estimate_batch(candidates, R=config.r_pair),
-            reference_estimator.estimate_batch(candidates, R=config.r_pair),
+            estimator.estimate_batch(candidates, R=config.r_pair),
+            reference_estimate(),
             atol=1e-12,
         )
 
         # 4. Batched Algorithm 4 vs per-vertex signature walks.
         timings["signature_build"] = {
             "array": _timed(
-                lambda: build_signatures(
-                    graph, config.with_(kernel="array"), seed=0, vertices=sig_vertices
-                ),
+                lambda: build_signatures(graph, config, seed=0, vertices=sig_vertices),
                 repeats,
             ),
             "reference": _timed(
-                lambda: build_signatures(
-                    graph, config.with_(kernel="reference"), seed=0, vertices=sig_vertices
-                ),
+                lambda: reference_signatures(graph, config, seed=0, vertices=sig_vertices),
                 repeats,
             ),
         }
@@ -299,7 +298,7 @@ class TestKernelComparison:
 
 
 def test_batch_estimate_array(benchmark, web_graph_medium, bench_config):
-    config = bench_config.with_(T=10, kernel="array")
+    config = bench_config.with_(T=10)
     estimator = SingleSourceEstimator(web_graph_medium, 10, config=config, seed=0)
     candidates = list(range(11, 59))
     benchmark.pedantic(
@@ -310,11 +309,11 @@ def test_batch_estimate_array(benchmark, web_graph_medium, bench_config):
 
 
 def test_batch_estimate_reference(benchmark, web_graph_medium, bench_config):
-    config = bench_config.with_(T=10, kernel="reference")
+    config = bench_config.with_(T=10)
     estimator = SingleSourceEstimator(web_graph_medium, 10, config=config, seed=0)
-    candidates = list(range(11, 59))
+    candidates = np.arange(11, 59, dtype=np.int64)
     benchmark.pedantic(
-        lambda: estimator.estimate_batch(candidates, R=config.r_pair),
+        lambda: reference_batch(estimator, candidates, config.r_pair),
         rounds=1,
         iterations=1,
     )

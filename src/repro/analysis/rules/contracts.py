@@ -43,8 +43,6 @@ REQUIRED_CONTRACTS: Dict[str, Tuple[str, ...]] = {
         "step",
         "step_given",
         "walk_matrix",
-        "walk_matrix_seeded",
-        "walk_matrix_multi",
         "segment_collisions",
         "segment_self_collisions",
     ),

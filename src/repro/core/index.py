@@ -41,7 +41,6 @@ __all__ = [
     "INDEX_FORMAT_VERSION",
     "CandidateIndex",
     "BufferBackedCandidateIndex",
-    "signature_for_vertex",
     "build_signatures",
     "build_index",
 ]
@@ -266,23 +265,7 @@ class CandidateIndex:
             "version": INDEX_FORMAT_VERSION,
             "n": self.n,
             "build_seconds": self.build_seconds,
-            "config": {
-                "c": self.config.c,
-                "T": self.config.T,
-                "r_pair": self.config.r_pair,
-                "r_screen": self.config.r_screen,
-                "r_alphabeta": self.config.r_alphabeta,
-                "r_gamma": self.config.r_gamma,
-                "index_walks": self.config.index_walks,
-                "index_checks": self.config.index_checks,
-                "k": self.config.k,
-                "theta": self.config.theta,
-                "d_max": self.config.d_max,
-                "candidate_rule": self.config.candidate_rule,
-                "fallback_ball_radius": self.config.fallback_ball_radius,
-                "screen_slack": self.config.screen_slack,
-                "kernel": self.config.kernel,
-            },
+            "config": self.config.to_dict(),
         }
         np.savez_compressed(
             path,
@@ -321,7 +304,11 @@ class CandidateIndex:
                     f"{meta.get('version')!r} (this build reads version "
                     f"{INDEX_FORMAT_VERSION})"
                 )
-            config = SimRankConfig(**meta["config"])
+            config_fields = dict(meta["config"])
+            # Older headers carry the retired "kernel" option; both of its
+            # values built identical signatures, so the payload is valid.
+            config_fields.pop("kernel", None)
+            config = SimRankConfig(**config_fields)
             offsets = payload["signature_offsets"]
             flat = payload["signatures"]
             n = int(meta["n"])
@@ -579,24 +566,6 @@ def _signatures_from_block(
     return signatures
 
 
-def signature_for_vertex(
-    engine: WalkEngine,
-    u: int,
-    config: SimRankConfig,
-) -> List[int]:
-    """Algorithm 4's inner loop: the signature set of one vertex.
-
-    All P·(1+Q) walks run as a single vectorised bundle drawn from the
-    engine's shared stream.  The walk's own start vertex (t = 0) is
-    always part of the signature, so a vertex is always its own
-    candidate — harmless (the query drops u itself) and it guarantees
-    non-empty postings.
-    """
-    P, Q, T = config.index_walks, config.index_checks, config.T
-    bundle = engine.walk_matrix(u, P * (1 + Q), T)
-    return _signatures_from_block(bundle, [u], config)[0]
-
-
 def build_signatures(
     graph: CSRGraph,
     config: SimRankConfig,
@@ -613,23 +582,16 @@ def build_signatures(
     so a vertex's signature is a deterministic function of ``(seed, u)``
     and independent of which other vertices are (re)built alongside it —
     incremental rebuilds reproduce exactly what a full build produces.
-    Under ``config.kernel == "array"`` whole blocks of vertices run as
-    one fused walk matrix; the ``"reference"`` kernel walks vertices one
-    by one and yields identical signatures (positionally consumed
-    per-vertex uniform blocks — see ``docs/performance.md``).
+    Whole blocks of vertices run as one fused walk matrix; because each
+    vertex's uniform block is consumed positionally, the result equals
+    walking every vertex alone (see ``docs/performance.md``).  A vertex
+    is always in its own signature, so postings are never empty.
     """
     targets = [int(u) for u in (range(graph.n) if vertices is None else vertices)]
     base_seed = seed if (seed is None or isinstance(seed, int)) else derive_seed(seed)
     engine = WalkEngine(graph)
     P, Q, T = config.index_walks, config.index_checks, config.T
     width = P * (1 + Q)
-
-    if config.kernel != "array":
-        out: List[List[int]] = []
-        for u in targets:
-            bundle = engine.walk_matrix_seeded(u, width, T, derive_seed(base_seed, 29, u))
-            out.append(_signatures_from_block(bundle, [u], config)[0])
-        return out
 
     def vertex_uniforms(u: int) -> np.ndarray:
         return ensure_rng(derive_seed(base_seed, 29, u)).random((T - 1, width))

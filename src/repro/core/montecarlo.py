@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass as _dataclass
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,12 +27,7 @@ from repro.errors import ConfigError, VertexError
 from repro.graph.csr import CSRGraph
 from repro.core.config import SimRankConfig
 from repro.core.linear import resolve_diagonal, DiagonalLike
-from repro.core.walks import (
-    FlatSketch,
-    PositionSketch,
-    WalkEngine,
-    segment_collisions,
-)
+from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.obs import instrument as obs
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng
 
@@ -40,36 +35,12 @@ from repro.utils.rng import SeedLike, derive_seed, ensure_rng
 __all__ = [
     "required_samples",
     "single_pair_simrank",
+    "series_from_sketches",
     "SingleSourceEstimator",
     "PairEstimate",
     "single_pair_with_ci",
     "single_source_simrank",
 ]
-
-
-class Sketch(Protocol):
-    """What the series evaluator needs from a walk sketch.
-
-    Satisfied by both :class:`~repro.core.walks.FlatSketch` (the
-    ``kernel="array"`` implementation) and
-    :class:`~repro.core.walks.PositionSketch` (``kernel="reference"``).
-    The two sides of one collision must be the *same* concrete type —
-    the config's ``kernel`` field picks it once per estimator.
-    """
-
-    T: int
-    R: int
-
-    def collision_value(self, other: Any, t: int, diagonal: np.ndarray) -> float:
-        ...
-
-
-SketchClass = Union[Type[FlatSketch], Type[PositionSketch]]
-
-
-def sketch_class(config: SimRankConfig) -> SketchClass:
-    """The sketch implementation selected by ``config.kernel``."""
-    return FlatSketch if config.kernel == "array" else PositionSketch
 
 
 def required_samples(
@@ -117,28 +88,34 @@ def single_pair_simrank(
     samples = R if R is not None else config.r_pair
     d = resolve_diagonal(graph.n, config.c, diagonal)
     engine = WalkEngine(graph, seed)
-    sketch_cls = sketch_class(config)
-    sketch_u: Sketch = sketch_cls(engine.walk_matrix(u, samples, config.T))
-    sketch_v: Sketch = sketch_cls(engine.walk_matrix(v, samples, config.T))
+    sketch_u = FlatSketch(engine.walk_matrix(u, samples, config.T))
+    sketch_v = FlatSketch(engine.walk_matrix(v, samples, config.T))
     if obs.OBS.enabled:
         terms: List[float] = []
-        value = _series_from_sketches(sketch_u, sketch_v, config.c, d, terms_out=terms)
+        value = series_from_sketches(sketch_u, sketch_v, config.c, d, terms_out=terms)
         obs.record_walk_bundle(
             walks=2 * samples,
             steps=2 * samples * config.T,
             meetings=sum(1 for term in terms if term > 0.0),
         )
         return value
-    return _series_from_sketches(sketch_u, sketch_v, config.c, d)
+    return series_from_sketches(sketch_u, sketch_v, config.c, d)
 
 
-def _series_from_sketches(
-    sketch_u: Sketch,
-    sketch_v: Sketch,
+def series_from_sketches(
+    sketch_u: FlatSketch,
+    sketch_v: FlatSketch,
     c: float,
     diagonal: np.ndarray,
     terms_out: Optional[List[float]] = None,
 ) -> float:
+    """The truncated series of eq. (13), each term estimated by eq. (14).
+
+    ``Σ_t c^t · collision_value(t)`` over the steps both bundles cover —
+    the Algorithm 1 estimate for any two bundle sketches (unweighted or
+    weighted walks alike).  ``terms_out``, when given, receives every
+    weighted term in order.
+    """
     total = 0.0
     weight = 1.0
     for t in range(min(sketch_u.T, sketch_v.T)):
@@ -167,12 +144,9 @@ class SingleSourceEstimator:
     - :meth:`estimate_batch` — all candidates at once.  Each candidate's
       uniforms come from a *derived* seed (``derive_seed(seed, v, R)``),
       so its score is a deterministic function of ``(seed, v, R)`` and
-      therefore independent of batch composition and order.  With
-      ``config.kernel == "array"`` the whole batch steps as one fused
-      ``(T, B·R)`` matrix and reduces against the u-sketch with segment
-      sums; the ``"reference"`` kernel walks the same derived-seed
-      bundles one by one through dict sketches and produces scores equal
-      to within float rounding (see ``docs/performance.md``).
+      therefore independent of batch composition and order.  The whole
+      batch steps as one fused ``(T, B·R)`` matrix and reduces against
+      the u-sketch with segment sums (see ``docs/performance.md``).
     """
 
     def __init__(
@@ -189,9 +163,8 @@ class SingleSourceEstimator:
             raise VertexError(u, graph.n)
         self.u = int(u)
         self.diagonal = resolve_diagonal(graph.n, self.config.c, diagonal)
-        self._sketch_cls = sketch_class(self.config)
         self.engine = WalkEngine(graph, ensure_rng(seed))
-        self._sketch_u: Sketch = self._sketch_cls(
+        self._sketch_u = FlatSketch(
             self.engine.walk_matrix(self.u, self.config.r_pair, self.config.T)
         )
         # Canonical int root for per-candidate derived seeds.  Resolved
@@ -213,13 +186,11 @@ class SingleSourceEstimator:
         if v == self.u:
             return 1.0
         samples = R if R is not None else self.config.r_pair
-        sketch_v: Sketch = self._sketch_cls(
-            self.engine.walk_matrix(v, samples, self.config.T)
-        )
+        sketch_v = FlatSketch(self.engine.walk_matrix(v, samples, self.config.T))
         self.walks_simulated += samples
         if obs.OBS.enabled:
             terms: List[float] = []
-            value = _series_from_sketches(
+            value = series_from_sketches(
                 self._sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
             )
             obs.record_walk_bundle(
@@ -228,7 +199,7 @@ class SingleSourceEstimator:
                 meetings=sum(1 for term in terms if term > 0.0),
             )
             return value
-        return _series_from_sketches(self._sketch_u, sketch_v, self.config.c, self.diagonal)
+        return series_from_sketches(self._sketch_u, sketch_v, self.config.c, self.diagonal)
 
     def estimate_batch(
         self, candidates: Sequence[int], R: Optional[int] = None
@@ -237,9 +208,9 @@ class SingleSourceEstimator:
 
         Every candidate gets its own R-walk bundle seeded by
         ``derive_seed(seed, v, R)``; self-candidates score 1.0 without
-        simulation.  Under ``kernel="array"`` the bundles run fused (one
-        position row per step for the whole batch) — the vectorised pass
-        behind Algorithm 5's screen and refine phases.
+        simulation.  The bundles run fused (one position row per step for
+        the whole batch) — the vectorised pass behind Algorithm 5's screen
+        and refine phases.
         """
         samples = R if R is not None else self.config.r_pair
         cand = np.asarray([int(v) for v in candidates], dtype=np.int64)
@@ -251,10 +222,7 @@ class SingleSourceEstimator:
         if others_idx.size == 0:
             return scores
         others = cand[others_idx]
-        if self.config.kernel == "array":
-            values, meetings = self._batch_array(others, samples)
-        else:
-            values, meetings = self._batch_reference(others, samples)
+        values, meetings = self._batch_array(others, samples)
         scores[others_idx] = values
         self.walks_simulated += int(others.size) * samples
         if obs.OBS.enabled:
@@ -285,7 +253,6 @@ class SingleSourceEstimator:
         T, c = self.config.T, self.config.c
         B = int(others.size)
         sketch_u = self._sketch_u
-        assert isinstance(sketch_u, FlatSketch)
         uniforms = np.concatenate(
             [self._candidate_uniforms(int(v), samples) for v in others], axis=1
         ) if T > 1 else np.empty((0, B * samples))
@@ -306,24 +273,6 @@ class SingleSourceEstimator:
             if t + 1 < T:
                 positions = self.engine.step_given(positions, uniforms[t])
         return totals, meetings
-
-    def _batch_reference(
-        self, others: np.ndarray, samples: int
-    ) -> Tuple[np.ndarray, int]:
-        """Reference kernel: the same derived-seed bundles, one at a time."""
-        values = np.empty(others.size)
-        meetings = 0
-        for i, v in enumerate(others):
-            child = derive_seed(self._batch_seed, int(v), samples)
-            sketch_v: Sketch = self._sketch_cls(
-                self.engine.walk_matrix_seeded(int(v), samples, self.config.T, child)
-            )
-            terms: List[float] = []
-            values[i] = _series_from_sketches(
-                self._sketch_u, sketch_v, self.config.c, self.diagonal, terms_out=terms
-            )
-            meetings += sum(1 for term in terms if term > 0.0)
-        return values, meetings
 
     def estimate_many(
         self, candidates: Sequence[int], R: Optional[int] = None

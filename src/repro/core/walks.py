@@ -12,26 +12,28 @@ primitive, vectorised with numpy over whole walk bundles:
   (index walks) all share one code path;
 - :class:`FlatSketch` is the array-native per-step occupation-count view
   of a bundle — sorted vertex ids and counts in contiguous arrays, the
-  object both sides of eq. (14) reduce to on the hot paths;
-- :class:`PositionSketch` is the original dict-based sketch, retained as
-  the ``kernel="reference"`` implementation so the array kernels stay
-  equivalence-testable forever (see ``docs/performance.md``).
+  object both sides of eq. (14) reduce to; it is the only sketch class;
+- :func:`segment_collisions` / :func:`segment_self_collisions` reduce
+  many fused bundles against one sketch row (Algorithm 5's batch
+  scoring) or against themselves (Algorithm 3's γ table) in one pass.
 
 **Seeded bundles.**  :meth:`WalkEngine.walk_matrix` consumes the
 engine's shared stream and draws one uniform per *alive, movable* walk
 per step.  The batch kernels instead use :meth:`WalkEngine.step_given`
-with a pre-drawn ``rng.random((T - 1, R))`` block, consumed
+with a pre-drawn ``rng.random((T - 1, R))`` block per bundle, consumed
 *positionally* (a dead slot burns its draw).  Positional consumption is
 what makes fusing exact: stacking the per-bundle uniform blocks side by
 side and stepping the fused ``(T, B·R)`` matrix yields bit-identical
 trajectories to stepping each seeded bundle alone, so batch results are
 reproducible from per-candidate derived seeds regardless of batch
-composition.
+composition.  The test suite's dict-based oracle
+(``tests/properties/sketch_oracle.py``) walks those bundles one at a
+time and checks the fused kernels against it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,9 +46,7 @@ from repro.utils.rng import SeedLike, ensure_rng
 __all__ = [
     "DEAD",
     "WalkEngine",
-    "PositionSketch",
     "FlatSketch",
-    "sketch_from_walks",
     "run_length_encode",
     "segment_collisions",
     "segment_self_collisions",
@@ -145,44 +145,6 @@ class WalkEngine:
             out[t] = self.step(out[t - 1])
         return out
 
-    @contract(returns="int64[2d]")
-    def walk_matrix_seeded(self, start: int, R: int, T: int, seed: SeedLike) -> np.ndarray:
-        """Like :meth:`walk_matrix`, driven by a private seeded stream.
-
-        The whole uniform block is drawn up front as one
-        ``rng.random((T - 1, R))`` call and consumed positionally via
-        :meth:`step_given`.  A block of these bundles fused side by side
-        therefore steps to bit-identical trajectories — the determinism
-        contract of the batch estimators and the batched Algorithm 4.
-        """
-        if not 0 <= start < self.graph.n:
-            raise VertexError(start, self.graph.n)
-        if R < 1 or T < 1:
-            raise ValueError(f"R and T must be >= 1, got R={R}, T={T}")
-        uniforms = ensure_rng(seed).random((T - 1, R))
-        out = np.empty((T, R), dtype=np.int64)
-        out[0] = start
-        for t in range(1, T):
-            out[t] = self.step_given(out[t - 1], uniforms[t - 1])
-        return out
-
-    @contract(returns="int64[2d]")
-    def walk_matrix_multi(self, starts: Sequence[int], T: int) -> np.ndarray:
-        """One walk per start vertex, as a (T, len(starts)) array.
-
-        Used by the batched γ computation and the Fogaras–Rácz baseline's
-        whole-graph sweeps.
-        """
-        starts_arr = np.asarray(list(starts), dtype=np.int64)
-        if starts_arr.size and (starts_arr.min() < 0 or starts_arr.max() >= self.graph.n):
-            offender = int(starts_arr[(starts_arr < 0) | (starts_arr >= self.graph.n)][0])
-            raise VertexError(offender, self.graph.n)
-        out = np.empty((T, len(starts_arr)), dtype=np.int64)
-        out[0] = starts_arr
-        for t in range(1, T):
-            out[t] = self.step(out[t - 1])
-        return out
-
 
 def run_length_encode(sorted_values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:  # hot-path
     """Distinct values and run lengths of an already-sorted int64 array.
@@ -218,8 +180,7 @@ class FlatSketch:
     run-length encode per row.  Dividing counts by R gives the empirical
     estimate of ``P^t e_u`` used on both sides of eq. (14); collision
     values are computed by a ``searchsorted`` merge of the two sorted
-    id arrays instead of dict probing (the ``kernel="reference"``
-    :class:`PositionSketch` equivalent).
+    id arrays.
     """
 
     __slots__ = ("T", "R", "vertices", "counts", "offsets")
@@ -326,56 +287,6 @@ class FlatSketch:
         return float((diagonal[vertices] * (counts / self.R) ** 2).sum())
 
 
-class PositionSketch:
-    """Dict-based per-step occupation counts (the ``kernel="reference"`` path).
-
-    For a bundle of R walks from u, ``sketch.counts[t]`` maps vertex w to
-    ``#{r : u_r^(t) = w}``.  Dividing by R gives the empirical estimate
-    of ``P^t e_u`` used on both sides of eq. (14).  The hot paths use
-    :class:`FlatSketch`; this implementation is retained so every array
-    kernel stays equivalence-testable against the original semantics.
-    """
-
-    def __init__(self, walk_matrix: np.ndarray, R: Optional[int] = None) -> None:
-        self.T, bundle = walk_matrix.shape
-        self.R = R if R is not None else bundle
-        self.counts: List[Dict[int, int]] = []
-        for t in range(self.T):
-            row = walk_matrix[t]
-            alive = row[row >= 0]
-            vertices, counts = np.unique(alive, return_counts=True)
-            self.counts.append({int(v): int(cnt) for v, cnt in zip(vertices, counts)})
-
-    def alive_fraction(self, t: int) -> float:
-        """Fraction of the bundle still alive at step t."""
-        return sum(self.counts[t].values()) / self.R
-
-    def collision_value(
-        self, other: "PositionSketch", t: int, diagonal: np.ndarray
-    ) -> float:
-        """Estimate of ``(P^t e_u)^T D (P^t e_v)`` — the inner sum of eq. (14).
-
-        Iterates over the smaller count table; O(min support) per step.
-        """
-        mine = self.counts[t]
-        theirs = other.counts[t]
-        if len(theirs) < len(mine):
-            mine, theirs = theirs, mine
-        total = 0.0
-        for w, count in mine.items():
-            other_count = theirs.get(w)
-            if other_count:
-                total += diagonal[w] * count * other_count
-        return total / (self.R * other.R)
-
-    def self_collision_value(self, t: int, diagonal: np.ndarray) -> float:
-        """Estimate of ``||sqrt(D) P^t e_u||^2`` from one bundle (Algorithm 3)."""
-        total = 0.0
-        for w, count in self.counts[t].items():
-            total += diagonal[w] * (count / self.R) ** 2
-        return total
-
-
 @contract(positions="int64", sketch_vertices="int64", sketch_counts="float64",
           diagonal="float64", returns="float64[1d]")  # no-alloc
 def segment_collisions(  # hot-path
@@ -444,9 +355,3 @@ def segment_self_collisions(  # hot-path
     vertices = packed % stride
     contributions = diagonal[vertices] * (counts / R) ** 2
     return np.bincount(packed // stride, weights=contributions, minlength=n_segments)
-
-
-def sketch_from_walks(graph: CSRGraph, start: int, R: int, T: int, seed: SeedLike = None) -> PositionSketch:
-    """Convenience: run a bundle and sketch it in one call."""
-    engine = WalkEngine(graph, seed)
-    return PositionSketch(engine.walk_matrix(start, R, T))

@@ -6,9 +6,8 @@ into a named dict of numpy arrays (graph CSR, packed candidate index,
 rebuilds a queryable engine over those arrays **without copying them** —
 the graph aliases the views directly and the index is a
 :class:`~repro.core.index.BufferBackedCandidateIndex`.  The meta dict
-mirrors the config payload of :meth:`CandidateIndex.save`, so the two
-serialization paths cannot drift apart silently (both go through
-:func:`config_to_dict`).
+carries the same config payload as :meth:`CandidateIndex.save` (both
+come from :meth:`SimRankConfig.to_dict`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.graph.csr import CSRGraph
 
 
 __all__ = [
-    "config_to_dict",
     "engine_to_arrays",
     "engine_from_arrays",
     "delta_to_arrays",
@@ -36,27 +34,6 @@ __all__ = [
 _GRAPH_PREFIX = "graph."
 _INDEX_PREFIX = "index."
 _DELTA_PREFIX = "delta."
-
-
-def config_to_dict(config: SimRankConfig) -> Dict[str, Any]:
-    """The full constructor-kwargs form of a config (JSON/pickle safe)."""
-    return {
-        "c": config.c,
-        "T": config.T,
-        "r_pair": config.r_pair,
-        "r_screen": config.r_screen,
-        "r_alphabeta": config.r_alphabeta,
-        "r_gamma": config.r_gamma,
-        "index_walks": config.index_walks,
-        "index_checks": config.index_checks,
-        "k": config.k,
-        "theta": config.theta,
-        "d_max": config.d_max,
-        "candidate_rule": config.candidate_rule,
-        "fallback_ball_radius": config.fallback_ball_radius,
-        "screen_slack": config.screen_slack,
-        "kernel": config.kernel,
-    }
 
 
 def engine_to_arrays(
@@ -79,7 +56,7 @@ def engine_to_arrays(
     meta = {
         "n": engine.graph.n,
         "seed": int(seed),
-        "config": config_to_dict(engine.config),
+        "config": engine.config.to_dict(),
         "build_seconds": engine.index.build_seconds,
     }
     return arrays, meta

@@ -38,7 +38,7 @@ from repro.errors import (
     VertexError,
 )
 from repro.obs import instrument as obs
-from repro.shard.codec import config_to_dict, delta_to_arrays, engine_to_arrays
+from repro.shard.codec import delta_to_arrays, engine_to_arrays
 from repro.shard.memory import SharedArrayBundle
 from repro.shard.merge import replay_merge
 from repro.shard.plan import ShardPlan
@@ -297,7 +297,7 @@ class ShardPool:
             "meta": {
                 "n": new_n,
                 "seed": int(seed),
-                "config": config_to_dict(engine.config),
+                "config": engine.config.to_dict(),
                 "build_seconds": engine.index.build_seconds,
             },
             "plan": plan.to_manifest(),

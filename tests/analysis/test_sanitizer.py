@@ -205,22 +205,25 @@ def test_replay_outside_strict_scope_is_legal(sanitized):
     assert SHADOW_REGISTRY.consumption(child) == 12
 
 
-def test_estimate_batch_consumption_accounting(sanitized):
+def test_estimate_batch_consumption_accounting(sanitized, monkeypatch):
     """Each candidate consumes exactly (T-1)*R uniforms from its derived
-    child stream — identically under the array and reference kernels."""
+    child stream — identically under the fused kernel and the oracle."""
     from repro.core.config import SimRankConfig
     from repro.core.montecarlo import SingleSourceEstimator
     from repro.graph.generators import cycle_graph
     from repro.utils.rng import derive_seed
+    from tests.properties.sketch_oracle import reference_batch
 
     graph = cycle_graph(8)
     candidates = [1, 2, 5]
     seed, samples = 99, 12
+    config = SimRankConfig(T=4, r_pair=samples)
 
     consumption = {}
     for kernel in ("array", "reference"):
         reset()
-        config = SimRankConfig(T=4, r_pair=samples, kernel=kernel)
+        if kernel == "reference":
+            monkeypatch.setattr(SingleSourceEstimator, "_batch_array", reference_batch)
         estimator = SingleSourceEstimator(graph, 0, config, seed=seed)
         scores = estimator.estimate_batch(candidates)
         per_child = {

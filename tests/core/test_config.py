@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import SimRankConfig
@@ -96,13 +99,49 @@ class TestDerivedConstructors:
             SimRankConfig.for_accuracy(0.0)
 
 
-class TestKernelField:
-    def test_default_is_array(self):
-        assert SimRankConfig().kernel == "array"
+class TestSerializedForm:
+    """``to_dict`` is the one serialized form of a config: index file
+    headers and the shard transport both carry it."""
 
-    def test_reference_accepted(self):
-        assert SimRankConfig(kernel="reference").kernel == "reference"
+    #: Every field away from its default, so a dropped field cannot hide.
+    EVERY_FIELD = SimRankConfig(
+        c=0.5,
+        T=5,
+        r_pair=21,
+        r_screen=7,
+        r_alphabeta=33,
+        r_gamma=13,
+        index_walks=3,
+        index_checks=2,
+        k=7,
+        theta=0.02,
+        d_max=4,
+        candidate_rule="text",
+        fallback_ball_radius=1,
+        screen_slack=0.4,
+    )
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            SimRankConfig(kernel="simd")
+    def test_fixture_sets_every_field(self):
+        default = SimRankConfig()
+        for field in fields(SimRankConfig):
+            assert getattr(self.EVERY_FIELD, field.name) != getattr(default, field.name)
+
+    def test_to_dict_round_trips_every_field(self):
+        payload = self.EVERY_FIELD.to_dict()
+        assert set(payload) == {field.name for field in fields(SimRankConfig)}
+        assert SimRankConfig(**json.loads(json.dumps(payload))) == self.EVERY_FIELD
+
+    def test_index_file_round_trip(self, social_graph, tmp_path):
+        from repro.core.index import CandidateIndex, build_index
+
+        path = tmp_path / "index.npz"
+        build_index(social_graph, self.EVERY_FIELD, seed=0).save(path)
+        assert CandidateIndex.load(path).config == self.EVERY_FIELD
+
+    def test_shard_codec_round_trip(self, social_graph):
+        from repro.core.engine import SimRankEngine
+        from repro.shard.codec import engine_from_arrays, engine_to_arrays
+
+        engine = SimRankEngine(social_graph, self.EVERY_FIELD, seed=3).preprocess()
+        arrays, meta = engine_to_arrays(engine, seed=3)
+        assert engine_from_arrays(arrays, meta).config == self.EVERY_FIELD

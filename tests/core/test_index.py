@@ -123,6 +123,41 @@ class TestSerialization:
         for u in range(0, index.n, 5):
             assert loaded.candidates(u) == index.candidates(u)
 
+    @pytest.mark.parametrize("kernel", ["array", "reference"])
+    def test_header_with_retired_kernel_option_loads(
+        self, social_graph, test_config, tmp_path, kernel
+    ):
+        """Index files written before the ``kernel`` config option was
+        retired carry it in their header; they must load and answer
+        exactly like the in-memory index."""
+        import json
+
+        from repro.core.query import top_k_query
+
+        index = build_index(social_graph, test_config, seed=0)
+        path = tmp_path / "index.npz"
+        index.save(path)
+        payload = np.load(path)
+        meta = json.loads(bytes(payload["meta"]).decode("utf-8"))
+        meta["config"]["kernel"] = kernel
+        legacy = tmp_path / f"legacy-{kernel}.npz"
+        np.savez_compressed(
+            legacy,
+            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+            signatures=payload["signatures"],
+            signature_offsets=payload["signature_offsets"],
+            gamma=payload["gamma"],
+        )
+        loaded = CandidateIndex.load(legacy)
+        assert loaded.config == index.config
+        assert loaded.signatures == index.signatures
+        for u in (0, 7, 23):
+            fresh = top_k_query(social_graph, index, u, k=5, config=index.config, seed=u)
+            restored = top_k_query(
+                social_graph, loaded, u, k=5, config=loaded.config, seed=u
+            )
+            assert restored.items == fresh.items
+
     def test_corrupt_file_raises(self, tmp_path):
         path = tmp_path / "broken.npz"
         path.write_bytes(b"not an npz at all")

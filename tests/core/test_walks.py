@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.walks import DEAD, WalkEngine, sketch_from_walks
+from repro.core.walks import DEAD, FlatSketch, WalkEngine
 from repro.errors import VertexError
 from repro.graph.generators import cycle_graph, path_graph, star_graph
+from tests.properties.sketch_oracle import walk_matrix_seeded
+
+
+def sketch_from_walks(graph, start, R, T, seed):
+    """One R-walk bundle from ``start``, sketched."""
+    return FlatSketch(WalkEngine(graph, seed).walk_matrix(start, R, T))
 
 
 class TestStepping:
@@ -87,17 +93,6 @@ class TestWalkMatrix:
         with pytest.raises(ValueError):
             engine.walk_matrix(0, R=0, T=5)
 
-    def test_multi_start(self, social_graph):
-        engine = WalkEngine(social_graph, seed=5)
-        walks = engine.walk_matrix_multi([1, 2, 3], T=4)
-        assert walks.shape == (4, 3)
-        np.testing.assert_array_equal(walks[0], [1, 2, 3])
-
-    def test_multi_start_validates(self, small_cycle):
-        engine = WalkEngine(small_cycle, seed=0)
-        with pytest.raises(VertexError):
-            engine.walk_matrix_multi([0, 99], T=3)
-
     def test_determinism_per_seed(self, social_graph):
         a = WalkEngine(social_graph, seed=6).walk_matrix(0, R=10, T=5)
         b = WalkEngine(social_graph, seed=6).walk_matrix(0, R=10, T=5)
@@ -105,10 +100,12 @@ class TestWalkMatrix:
 
 
 class TestPositionSketch:
+    """Per-step position (occupation-count) sketches of one bundle."""
+
     def test_counts_sum_to_alive_walks(self, social_graph):
         sketch = sketch_from_walks(social_graph, 0, R=40, T=5, seed=7)
         for t in range(5):
-            assert sum(sketch.counts[t].values()) <= 40
+            assert sketch.row(t)[1].sum() <= 40
 
     def test_alive_fraction_monotone_on_dag(self):
         graph = path_graph(4)
@@ -162,7 +159,7 @@ class TestStepGiven:
         engine = WalkEngine(social_graph)
         R, T = 7, 5
         singles = [
-            engine.walk_matrix_seeded(v, R, T, seed=100 + v) for v in (0, 3, 9)
+            walk_matrix_seeded(engine, v, R, T, seed=100 + v) for v in (0, 3, 9)
         ]
         rngs = [np.random.default_rng(100 + v) for v in (0, 3, 9)]
         uniforms = np.concatenate([rng.random((T - 1, R)) for rng in rngs], axis=1)
@@ -184,8 +181,8 @@ class TestStepGiven:
         from repro.core.walks import WalkEngine
 
         engine = WalkEngine(social_graph)
-        a = engine.walk_matrix_seeded(2, 10, 5, seed=3)
-        b = engine.walk_matrix_seeded(2, 10, 5, seed=3)
+        a = walk_matrix_seeded(engine, 2, 10, 5, seed=3)
+        b = walk_matrix_seeded(engine, 2, 10, 5, seed=3)
         np.testing.assert_array_equal(a, b)
 
 

@@ -1,9 +1,10 @@
-"""Array kernels vs ``kernel="reference"``: equivalence on identical seeds.
+"""Array kernels vs the dict-based oracle: equivalence on identical seeds.
 
 The contract (docs/performance.md): with the same config and seed, the
 array-native kernels (FlatSketch, fused ``estimate_batch``, batched
-Algorithm 4) must reproduce the dict-based reference path — scores to
-within float rounding (1e-12), signatures and top-k vertex sets exactly.
+Algorithm 4) must reproduce the per-bundle reference in
+``sketch_oracle`` — scores to within float rounding (1e-12), signatures,
+top-k vertex sets and query counters exactly.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import index as index_module
 from repro.core.config import SimRankConfig
 from repro.core.index import build_index, build_signatures
 from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
 from repro.core.query import top_k_query
 from repro.graph.csr import CSRGraph
+from tests.properties.sketch_oracle import (
+    PositionSketch,
+    reference_batch,
+    reference_signatures,
+    reference_single_pair,
+)
 
 TOL = 1e-12
 
@@ -33,8 +41,12 @@ FAST = SimRankConfig(
     theta=0.001,
 )
 
-ARRAY = FAST.with_(kernel="array")
-REFERENCE = FAST.with_(kernel="reference")
+
+def reference_estimate_batch(estimator, candidates, R):
+    """``estimate_batch`` with the oracle substituted for the fused kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SingleSourceEstimator, "_batch_array", reference_batch)
+        return estimator.estimate_batch(candidates, R=R)
 
 
 @st.composite
@@ -50,7 +62,7 @@ class TestSketchEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_flat_sketch_matches_position_sketch(self, graph, seed):
         from repro.core.linear import resolve_diagonal
-        from repro.core.walks import FlatSketch, PositionSketch, WalkEngine
+        from repro.core.walks import FlatSketch, WalkEngine
 
         engine = WalkEngine(graph, seed)
         walks_u = engine.walk_matrix(0, 15, 5)
@@ -73,8 +85,8 @@ class TestSinglePairEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_single_pair_matches_reference(self, graph, seed):
         u, v = 0, graph.n - 1
-        array_score = single_pair_simrank(graph, u, v, config=ARRAY, seed=seed)
-        reference_score = single_pair_simrank(graph, u, v, config=REFERENCE, seed=seed)
+        array_score = single_pair_simrank(graph, u, v, config=FAST, seed=seed)
+        reference_score = reference_single_pair(graph, u, v, config=FAST, seed=seed)
         assert array_score == pytest.approx(reference_score, abs=TOL)
 
 
@@ -85,11 +97,11 @@ class TestBatchEstimatorEquivalence:
         u = seed % graph.n
         candidates = [v for v in range(graph.n)]  # includes u itself
         array_scores = SingleSourceEstimator(
-            graph, u, config=ARRAY, seed=seed
+            graph, u, config=FAST, seed=seed
         ).estimate_batch(candidates, R=12)
-        reference_scores = SingleSourceEstimator(
-            graph, u, config=REFERENCE, seed=seed
-        ).estimate_batch(candidates, R=12)
+        reference_scores = reference_estimate_batch(
+            SingleSourceEstimator(graph, u, config=FAST, seed=seed), candidates, R=12
+        )
         np.testing.assert_allclose(array_scores, reference_scores, atol=TOL)
         assert array_scores[u] == 1.0
 
@@ -102,11 +114,11 @@ class TestBatchEstimatorEquivalence:
         everyone = list(range(1, graph.n))
         if not everyone:
             return
-        estimator = SingleSourceEstimator(graph, u, config=ARRAY, seed=seed)
+        estimator = SingleSourceEstimator(graph, u, config=FAST, seed=seed)
         full = estimator.estimate_batch(everyone, R=10)
         for i in range(0, len(everyone), 3):
             alone = SingleSourceEstimator(
-                graph, u, config=ARRAY, seed=seed
+                graph, u, config=FAST, seed=seed
             ).estimate_batch([everyone[i]], R=10)
             assert alone[0] == full[i]
 
@@ -115,16 +127,16 @@ class TestBatchEstimatorEquivalence:
     def test_estimate_many_agrees_with_batch(self, graph, seed):
         u = 0
         candidates = list(range(graph.n))
-        estimator = SingleSourceEstimator(graph, u, config=ARRAY, seed=seed)
+        estimator = SingleSourceEstimator(graph, u, config=FAST, seed=seed)
         batch = estimator.estimate_batch(candidates, R=8)
         many = SingleSourceEstimator(
-            graph, u, config=ARRAY, seed=seed
+            graph, u, config=FAST, seed=seed
         ).estimate_many(candidates, R=8)
         for v, score in zip(candidates, batch):
             assert many[v] == float(score)
 
     def test_empty_batch(self, social_graph):
-        estimator = SingleSourceEstimator(social_graph, 0, config=ARRAY, seed=1)
+        estimator = SingleSourceEstimator(social_graph, 0, config=FAST, seed=1)
         assert estimator.estimate_batch([]).size == 0
 
 
@@ -132,8 +144,8 @@ class TestSignatureEquivalence:
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
     def test_signatures_identical(self, graph, seed):
-        assert build_signatures(graph, ARRAY, seed=seed) == build_signatures(
-            graph, REFERENCE, seed=seed
+        assert build_signatures(graph, FAST, seed=seed) == reference_signatures(
+            graph, FAST, seed=seed
         )
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
@@ -141,34 +153,34 @@ class TestSignatureEquivalence:
     def test_subset_rebuild_matches_full_build(self, graph, seed):
         """Per-vertex seeds: rebuilding a subset reproduces exactly the
         rows a full build produces (the incremental-maintenance contract)."""
-        full = build_signatures(graph, ARRAY, seed=seed)
+        full = build_signatures(graph, FAST, seed=seed)
         subset = list(range(0, graph.n, 2))
-        rebuilt = build_signatures(graph, ARRAY, seed=seed, vertices=subset)
+        rebuilt = build_signatures(graph, FAST, seed=seed, vertices=subset)
         assert rebuilt == [full[u] for u in subset]
 
     @given(graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=20, deadline=None)
     def test_text_rule_identical_too(self, graph, seed):
         text_array = build_signatures(
-            graph, ARRAY.with_(candidate_rule="text"), seed=seed
+            graph, FAST.with_(candidate_rule="text"), seed=seed
         )
-        text_reference = build_signatures(
-            graph, REFERENCE.with_(candidate_rule="text"), seed=seed
+        text_reference = reference_signatures(
+            graph, FAST.with_(candidate_rule="text"), seed=seed
         )
         assert text_array == text_reference
 
 
 class TestQueryEquivalence:
     @pytest.mark.parametrize("u", [0, 3, 17])
-    def test_top_k_vertex_sets_identical(self, social_graph, test_config, u):
-        array_config = test_config.with_(kernel="array")
-        reference_config = test_config.with_(kernel="reference")
-        array_index = build_index(social_graph, array_config, seed=0)
-        reference_index = build_index(social_graph, reference_config, seed=0)
+    def test_top_k_vertex_sets_identical(self, social_graph, test_config, u, monkeypatch):
+        array_index = build_index(social_graph, test_config, seed=0)
+        a = top_k_query(social_graph, array_index, u, k=8, config=test_config, seed=5)
+        monkeypatch.setattr(index_module, "build_signatures", reference_signatures)
+        monkeypatch.setattr(SingleSourceEstimator, "_batch_array", reference_batch)
+        reference_index = build_index(social_graph, test_config, seed=0)
         assert array_index.signatures == reference_index.signatures
-        a = top_k_query(social_graph, array_index, u, k=8, config=array_config, seed=5)
         b = top_k_query(
-            social_graph, reference_index, u, k=8, config=reference_config, seed=5
+            social_graph, reference_index, u, k=8, config=test_config, seed=5
         )
         assert a.vertices() == b.vertices()
         for (va, sa), (vb, sb) in zip(a.items, b.items):
@@ -179,12 +191,12 @@ class TestQueryEquivalence:
         assert a.stats.refined == b.stats.refined
 
     def test_top_k_vertex_sets_identical_web(self, web_graph, test_config):
-        array_config = test_config.with_(kernel="array")
-        reference_config = test_config.with_(kernel="reference")
-        index = build_index(web_graph, array_config, seed=2)
+        index = build_index(web_graph, test_config, seed=2)
         for u in range(0, web_graph.n, 16):
-            a = top_k_query(web_graph, index, u, k=6, config=array_config, seed=u)
-            b = top_k_query(web_graph, index, u, k=6, config=reference_config, seed=u)
+            a = top_k_query(web_graph, index, u, k=6, config=test_config, seed=u)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SingleSourceEstimator, "_batch_array", reference_batch)
+                b = top_k_query(web_graph, index, u, k=6, config=test_config, seed=u)
             assert a.vertices() == b.vertices()
 
 
