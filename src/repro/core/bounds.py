@@ -45,7 +45,7 @@ from repro.core.config import SimRankConfig
 from repro.core.linear import DiagonalLike, resolve_diagonal
 from repro.core.walks import FlatSketch, WalkEngine, segment_self_collisions
 from repro.utils.contracts import contract
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, derive_seed, derived_uniforms, ensure_rng
 
 
 __all__ = [
@@ -115,17 +115,19 @@ def compute_alpha_beta(
 ) -> L1Bound:
     """Algorithm 2: Monte-Carlo α(u, d, t) and β(u, d).
 
-    ``distances`` may carry a precomputed in-BFS distance array from u
-    (the query phase already has one); otherwise it is computed here.
-    Concentration: Proposition 5 / Corollary 2.
+    ``distances`` may carry a precomputed undirected (``"both"``) BFS
+    distance array from u, truncated at ``d_max`` — the symmetrised
+    distance the ``[d-t, d+t]`` window needs (see the module docstring),
+    and the array the query phase already has.  Otherwise the same BFS
+    is computed here.  Concentration: Proposition 5 / Corollary 2.
     """
     config = config or SimRankConfig()
     if not 0 <= u < graph.n:
         raise VertexError(u, graph.n)
     d_vec = resolve_diagonal(graph.n, config.c, diagonal)
-    if distances is None:
-        distances = bfs_distances(graph, u, direction="in", max_distance=config.effective_d_max + config.T)
     d_max = config.effective_d_max
+    if distances is None:
+        distances = bfs_distances(graph, u, direction="both", max_distance=d_max)
     T = config.T
     R = config.r_alphabeta
     engine = WalkEngine(graph, ensure_rng(seed))
@@ -263,13 +265,7 @@ def compute_gamma_rows(
         segments = np.repeat(np.arange(width, dtype=np.int64), R)
         uniforms: Optional[np.ndarray] = None
         if T > 1:
-            uniforms = np.concatenate(
-                [
-                    ensure_rng(derive_seed(base_seed, 31, int(u))).random((T - 1, R))
-                    for u in block
-                ],
-                axis=1,
-            )
+            uniforms = derived_uniforms(base_seed, block, (T - 1, R), prefix=(31,))
         for t in range(T):
             sums = segment_self_collisions(positions, segments, d_vec, R, width)
             rows[start : start + width, t] = np.sqrt(sums)

@@ -34,7 +34,7 @@ from repro.core.bounds import GammaTable, compute_gamma_all
 from repro.core.config import SimRankConfig
 from repro.core.walks import WalkEngine
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, derive_seed, derived_uniforms
 
 
 __all__ = [
@@ -593,9 +593,6 @@ def build_signatures(
     P, Q, T = config.index_walks, config.index_checks, config.T
     width = P * (1 + Q)
 
-    def vertex_uniforms(u: int) -> np.ndarray:
-        return ensure_rng(derive_seed(base_seed, 29, u)).random((T - 1, width))
-
     signatures: List[List[int]] = []
     block_size = max(1, 16384 // width)
     for lo in range(0, len(targets), block_size):
@@ -604,7 +601,7 @@ def build_signatures(
         bundle = np.empty((T, starts.size), dtype=np.int64)
         bundle[0] = starts
         if T > 1:
-            uniforms = np.concatenate([vertex_uniforms(u) for u in block], axis=1)
+            uniforms = derived_uniforms(base_seed, block, (T - 1, width), prefix=(29,))
             for t in range(1, T):
                 bundle[t] = engine.step_given(bundle[t - 1], uniforms[t - 1])
         signatures.extend(_signatures_from_block(bundle, block, config))

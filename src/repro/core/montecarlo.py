@@ -29,7 +29,7 @@ from repro.core.config import SimRankConfig
 from repro.core.linear import resolve_diagonal, DiagonalLike
 from repro.core.walks import FlatSketch, WalkEngine, segment_collisions
 from repro.obs import instrument as obs
-from repro.utils.rng import SeedLike, derive_seed, ensure_rng
+from repro.utils.rng import SeedLike, derive_seed, derived_uniforms, ensure_rng
 
 
 __all__ = [
@@ -234,11 +234,6 @@ class SingleSourceEstimator:
             )
         return scores
 
-    def _candidate_uniforms(self, v: int, samples: int) -> np.ndarray:
-        """The (T-1, R) uniform block owned by candidate ``v``'s bundle."""
-        child = derive_seed(self._batch_seed, int(v), samples)
-        return ensure_rng(child).random((self.config.T - 1, samples))
-
     def _batch_array(
         self, others: np.ndarray, samples: int
     ) -> Tuple[np.ndarray, int]:
@@ -253,8 +248,9 @@ class SingleSourceEstimator:
         T, c = self.config.T, self.config.c
         B = int(others.size)
         sketch_u = self._sketch_u
-        uniforms = np.concatenate(
-            [self._candidate_uniforms(int(v), samples) for v in others], axis=1
+        # Candidate v's (T-1, R) block comes from derive_seed(seed, v, R).
+        uniforms = derived_uniforms(
+            self._batch_seed, others, (T - 1, samples), suffix=(samples,)
         ) if T > 1 else np.empty((0, B * samples))
         positions = np.repeat(others, samples)
         totals = np.zeros(B)

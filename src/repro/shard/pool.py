@@ -78,20 +78,22 @@ class _Worker:
         future: Future = Future()
         msg_id = next(self.pool._ids)
         msg = dict(msg, id=msg_id)
+        crashed = False
         with self._lock:
-            if not self.alive:
-                future.set_exception(
-                    ShardCrashError(f"shard {self.shard_id} worker is dead")
-                )
-                return future
-            self.pending[msg_id] = future
-            try:
-                self.conn.send(msg)
-            except (OSError, ValueError, BrokenPipeError) as exc:
-                self.pending.pop(msg_id, None)
-                future.set_exception(
-                    ShardCrashError(f"shard {self.shard_id} pipe broken: {exc}")
-                )
+            if self.alive:
+                self.pending[msg_id] = future
+                try:
+                    self.conn.send(msg)
+                    return future
+                except (OSError, ValueError, BrokenPipeError):
+                    # The worker died before the reader saw EOF: mark it
+                    # dead here, so every crash path reports alike.
+                    self.pending.pop(msg_id, None)
+                    crashed = not self.pool._closing
+                    self.alive = False
+        future.set_exception(ShardCrashError(f"shard {self.shard_id} worker is dead"))
+        if crashed and obs.OBS.enabled:
+            obs.record_shard_crash()
         return future
 
     def _read_loop(self) -> None:

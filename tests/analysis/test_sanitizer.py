@@ -241,6 +241,56 @@ def test_estimate_batch_consumption_accounting(sanitized, monkeypatch):
     )
 
 
+def test_derived_uniforms_consumption_accounting(sanitized):
+    """The batched derived-seed draw notes every child seed and accounts
+    each child's (T-1)*R uniforms, exactly as derive_seed + ensure_rng
+    per key did — for all three production salt layouts."""
+    from repro.utils.rng import derive_seed, derived_uniforms, ensure_rng
+
+    keys = [0, 3, 2**32 + 1]
+    rows, samples = 3, 7
+    for prefix, suffix in (((), (samples,)), ((31,), ()), ((29,), ())):
+        children = [derive_seed(5, *prefix, k, *suffix) for k in keys]
+        reset()
+        got = derived_uniforms(5, keys, (rows, samples), prefix=prefix, suffix=suffix)
+        assert SHADOW_REGISTRY.derived_seeds() == sorted(children)
+        for child in children:
+            assert SHADOW_REGISTRY.consumption(child) == rows * samples
+            assert SHADOW_REGISTRY.draw_log(child) == [("random", rows * samples)]
+        want = np.concatenate(
+            [ensure_rng(child).random((rows, samples)) for child in children], axis=1
+        )
+        np.testing.assert_array_equal(got, want)
+
+
+def test_derived_uniforms_replay_divergence_still_caught(sanitized):
+    """Inside a strict-replay scope the batched path is one more
+    materialisation of each child stream: the same draw replays
+    cleanly, a divergent one raises."""
+    from repro.utils.rng import derive_seed, derived_uniforms
+
+    with SHADOW_REGISTRY.strict_replay():
+        derived_uniforms(11, [4, 9], (2, 5), suffix=(5,))
+        derived_uniforms(11, [9], (2, 5), suffix=(5,))
+        with pytest.raises(SanitizerError, match="consumed divergently"):
+            shadow_rng(derive_seed(11, 4, 5)).random(3)
+
+
+def test_gamma_rows_consumption_accounting(sanitized):
+    """compute_gamma_rows draws (T-1)*r_gamma per vertex from
+    derive_seed(base, 31, u) through the batched primitive."""
+    from repro.core.bounds import compute_gamma_rows
+    from repro.core.config import SimRankConfig
+    from repro.graph.generators import cycle_graph
+    from repro.utils.rng import derive_seed
+
+    config = SimRankConfig(T=5, r_gamma=9)
+    compute_gamma_rows(cycle_graph(6), [1, 4], config=config, seed=21)
+    for u in (1, 4):
+        child = derive_seed(21, 31, u)
+        assert SHADOW_REGISTRY.consumption(child) == (config.T - 1) * config.r_gamma
+
+
 # ----------------------------------------------------------------------
 # Dual detection: one seeded inversion fixture, caught both ways
 # ----------------------------------------------------------------------

@@ -84,6 +84,18 @@ class TestL1Bound:
         l1 = compute_alpha_beta(social_graph, 4, bound_config, seed=0, distances=dist)
         assert l1.beta.shape == (bound_config.effective_d_max + 1,)
 
+    def test_default_distances_are_the_query_phase_bfs(self, web_graph, bound_config):
+        # The query phase and the shard worker pass the undirected BFS
+        # truncated at d_max; the default must be that same array, so a
+        # standalone call bounds exactly what a query would.
+        d_max = bound_config.effective_d_max
+        for u in (0, 3, 17):
+            dist = bfs_distances(web_graph, u, direction="both", max_distance=d_max)
+            given = compute_alpha_beta(web_graph, u, bound_config, seed=2, distances=dist)
+            default = compute_alpha_beta(web_graph, u, bound_config, seed=2)
+            np.testing.assert_array_equal(default.alpha, given.alpha)
+            np.testing.assert_array_equal(default.beta, given.beta)
+
     def test_asymmetric_mode_is_looser(self, web_graph, bound_config):
         sym = compute_alpha_beta(web_graph, 3, bound_config, seed=1)
         asym = compute_alpha_beta(

@@ -8,8 +8,10 @@ tests are the ground truth that the in-process bit-identity results of
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +133,40 @@ class TestCrashIsolation:
             assert time.perf_counter() - started < 5.0
             rows = pool.health()
             assert rows[0]["alive"] and not rows[1]["alive"]
+
+    def test_broken_pipe_on_send_reports_dead_worker(self):
+        """A worker killed before its reader thread sees EOF fails the
+        next send with a broken pipe.  That send marks the worker dead
+        and raises the same "worker is dead" crash as the other crash
+        paths; later requests fail fast without touching the pipe, and
+        the crash is counted once."""
+        from repro.shard.pool import _Worker
+        from repro.utils.sync import make_lock
+
+        class BrokenPipeConn:
+            sends = 0
+
+            def send(self, msg):
+                self.sends += 1
+                raise BrokenPipeError(32, "Broken pipe")
+
+        worker = _Worker.__new__(_Worker)  # no process: the pipe is the fake
+        worker.pool = SimpleNamespace(_ids=itertools.count(1), _closing=False)
+        worker.shard_id = 1
+        worker.conn = BrokenPipeConn()
+        worker.alive = True
+        worker.pending = {}
+        worker._lock = make_lock("test._Worker._lock")
+        with obs.session() as registry:
+            first = worker.request({"op": "top_k", "u": 4})
+            second = worker.request({"op": "top_k", "u": 5})
+        for future in (first, second):
+            with pytest.raises(ShardCrashError, match="shard 1 worker is dead"):
+                future.result(timeout=0)
+        assert not worker.alive
+        assert worker.pending == {}
+        assert worker.conn.sends == 1
+        assert registry.counter_value("shard", "worker_crashes_total") == 1
 
     def test_crash_recorded_in_metrics(self, shard_engine):
         with obs.session() as registry:

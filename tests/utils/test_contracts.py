@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ContractViolationError, ReproError
-from repro.utils.contracts import ArraySpec, contract, parse_spec
+from repro.utils.contracts import KNOWN_DTYPES, ArraySpec, _check, contract, parse_spec
 
 
 class TestParseSpec:
@@ -33,6 +33,37 @@ class TestParseSpec:
     def test_unknown_dtype_raises(self):
         with pytest.raises(ContractViolationError):
             parse_spec("x", "floaty64")
+
+
+def _value_dtypes():
+    """Every known dtype in both byte orders, plus platform aliases."""
+    dtypes = []
+    for name in sorted(KNOWN_DTYPES):
+        native = np.dtype(name)
+        dtypes += [native, native.newbyteorder("<"), native.newbyteorder(">")]
+    dtypes += [np.dtype(code) for code in ("q", "l", "p", "i", "d", "f", "?", ">q", ">l")]
+    return dtypes
+
+
+class TestDtypeFastPath:
+    @pytest.mark.parametrize("spec_name", sorted(KNOWN_DTYPES))
+    def test_verdict_equals_dtype_name_comparison(self, spec_name):
+        # The fast accept (dtype equality) must never change a verdict:
+        # the reference rule is "dtype.name equals the spec's dtype".
+        spec = parse_spec("x", spec_name)
+        for dtype in _value_dtypes():
+            value = np.zeros(3, dtype=dtype)
+            accepted = True
+            try:
+                _check("f", "argument 'x'", value, spec)
+            except ContractViolationError:
+                accepted = False
+            assert accepted == (dtype.name == spec_name), (spec_name, dtype.str)
+
+    def test_native_dtype_is_not_part_of_equality(self):
+        assert ArraySpec("int64").native == np.dtype(np.int64)
+        assert ArraySpec("int64") == ArraySpec("int64", None)
+        assert "native" not in repr(ArraySpec("int64"))
 
 
 class TestContractDecorator:
