@@ -8,23 +8,28 @@ through a real multi-process :class:`~repro.shard.pool.ShardPool`
 include the true coordination overhead: pickling, pipe transfer, and
 the coordinator's replay loop.
 
-Accounting.  This box may have fewer cores than shards, in which case
-workers time-slice one CPU and raw wall clock shows no parallelism.
-Per query we therefore also compute the critical-path model
+Accounting.  The headline ``speedups`` are measured wall clock over the
+1-shard pool, and only for shard counts the host has a core for
+(``shards <= cpu_count``); a larger count reads "no measured speedup",
+because its workers time-slice fewer cores and wall clock shows no
+parallelism.  Per query we also compute the critical-path model
 
-    modeled_wall = (wall - sum(busy_s)) + max(busy_s)
+    span = max(max(busy_s), sum(busy_s) / min(shards, cpu_count))
+    modeled_wall = (wall - span) + max(busy_s)
 
-where ``busy_s`` is each shard's self-reported in-worker compute time:
-serial coordination cost stays fully counted, and the per-shard compute
-collapses to the slowest shard — exactly the wall clock a machine with
-``cpu_count >= shards`` would see.  The headline speedup uses measured
-wall clock when the host genuinely has the cores, the model otherwise;
-``BENCH_shard.json`` records which mode produced it.
+where ``busy_s`` is each shard's self-reported in-worker compute time
+and ``span`` the wall time the workers' compute can have taken on this
+host: serial coordination cost stays fully counted, and the per-shard
+compute collapses to the slowest shard — the wall clock a machine with
+``cpu_count >= shards`` would see.  Where the host has that many cores
+the model equals the measured wall clock; on one core ``span`` is
+``sum(busy_s)``.  The model is recorded as the separately labelled
+``modeled_speedups`` field, never as the headline.
 
 The regression gate asserts bit-identity against the single-process
-engine on every query and a >= 1.7x modeled/measured speedup at 4
-shards (relaxed in ``REPRO_BENCH_QUICK=1`` smoke runs, which use fewer
-queries and therefore noisier timings).
+engine on every query and a >= 1.7x modeled speedup at 4 shards
+(relaxed in ``REPRO_BENCH_QUICK=1`` smoke runs, which use fewer queries
+and therefore noisier timings).
 """
 
 from __future__ import annotations
@@ -86,7 +91,10 @@ class TestShardThroughput:
                     wall = float(timings["wall_seconds"])
                     busy = [float(b) for b in timings["busy_seconds"]]
                     wall_total += wall
-                    modeled_total += (wall - sum(busy)) + max(busy)
+                    # Worker compute overlaps at most min(shards, cores)
+                    # ways; the rest of the wall clock is serial.
+                    span = max(max(busy), sum(busy) / min(n_shards, cpu_count))
+                    modeled_total += (wall - span) + max(busy)
                     busy_total += sum(busy)
             runs[n_shards] = {
                 "wall_seconds": wall_total,
@@ -95,13 +103,19 @@ class TestShardThroughput:
             }
 
         # Measured wall clock is only meaningful when the workers do not
-        # time-slice a single core; otherwise the critical-path model is
-        # the honest headline (and it still charges all serial overhead).
-        mode = "measured" if cpu_count >= max(SHARD_COUNTS) else "modeled"
-        key = "wall_seconds" if mode == "measured" else "modeled_wall_seconds"
-        baseline = runs[SHARD_COUNTS[0]][key]
-        speedups = {str(s): baseline / runs[s][key] for s in SHARD_COUNTS}
-        throughput = {str(s): len(hubs) / runs[s][key] for s in SHARD_COUNTS}
+        # time-slice fewer cores than there are shards.
+        base = runs[SHARD_COUNTS[0]]
+        speedups = {
+            str(s): base["wall_seconds"] / runs[s]["wall_seconds"]
+            if s <= cpu_count
+            else f"no measured speedup: {s} shards on {cpu_count} cores"
+            for s in SHARD_COUNTS
+        }
+        modeled_speedups = {
+            str(s): base["modeled_wall_seconds"] / runs[s]["modeled_wall_seconds"]
+            for s in SHARD_COUNTS
+        }
+        throughput = {str(s): len(hubs) / runs[s]["wall_seconds"] for s in SHARD_COUNTS}
 
         sidecar = {
             "graph": {"n": graph.n, "m": graph.m},
@@ -112,12 +126,13 @@ class TestShardThroughput:
                 "queries": len(hubs),
                 "quick": quick,
             },
-            "host": {"cpu_count": cpu_count, "mode": mode},
+            "host": {"cpu_count": cpu_count},
             "runs_seconds": runs,
             "throughput_qps": throughput,
             "speedups": speedups,
+            "modeled_speedups": modeled_speedups,
         }
         write_sidecar(SIDECAR_PATH, "shard", sidecar)
 
-        assert speedups["2"] >= (1.0 if quick else 1.2)
-        assert speedups["4"] >= (1.3 if quick else 1.7)
+        assert modeled_speedups["2"] >= (1.0 if quick else 1.2)
+        assert modeled_speedups["4"] >= (1.3 if quick else 1.7)

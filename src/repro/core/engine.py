@@ -35,7 +35,7 @@ from repro.core.linear import (
     single_source_series,
 )
 from repro.core.montecarlo import single_pair_simrank
-from repro.core.query import TopKResult, top_k_query
+from repro.core.query import TopKResult, top_k_query, top_k_seed
 from repro.obs import instrument as obs
 from repro.utils.rng import SeedLike, derive_seed
 
@@ -127,9 +127,10 @@ class SimRankEngine:
         """The base seed every preprocess/query stream derives from.
 
         Exposed so coordinating layers (:mod:`repro.shard`) can replay
-        the exact per-query seed derivations — ``derive_seed(seed, 11, u)``
-        for top-k, ``derive_seed(seed, 13, u, v)`` for single-pair — in
-        another process and land on bit-identical walk streams.
+        the exact per-query seed derivations —
+        :func:`~repro.core.query.top_k_seed` for top-k,
+        ``derive_seed(seed, 13, u, v)`` for single-pair — in another
+        process and land on bit-identical walk streams.
         """
         return self._seed
 
@@ -228,14 +229,12 @@ class SimRankEngine:
                 u,
                 k=k,
                 config=self.config,
-                seed=derive_seed(self._seed, 11, u),
+                seed=top_k_seed(self._seed, u),
                 diagonal=self.diagonal,
                 use_l1=use_l1,
                 use_l2=use_l2,
                 adaptive=adaptive,
-                extra_candidates=list(extra_candidates)
-                if extra_candidates is not None
-                else None,
+                extra_candidates=extra_candidates,
             )
 
     def top_k_all(

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.config import SimRankConfig
 from repro.core.index import CandidateIndex
-from repro.core.query import top_k_query
+from repro.core.query import top_k_query, top_k_seed
 from repro.graph.csr import CSRGraph
 from repro.obs import instrument as obs
 from repro.obs.metrics import Snapshot
@@ -77,7 +77,7 @@ def _query_chunk(vertices: Sequence[int]) -> ChunkResult:
                 int(u),
                 k=k,
                 config=config,
-                seed=derive_seed(seed, 11, int(u)),
+                seed=top_k_seed(seed, int(u)),
                 diagonal=diagonal,
             )
             out.append((int(u), [(v, float(s)) for v, s in result.items]))
@@ -93,7 +93,7 @@ def _query_chunk(vertices: Sequence[int]) -> ChunkResult:
                 int(u),
                 k=k,
                 config=config,
-                seed=derive_seed(seed, 11, int(u)),
+                seed=top_k_seed(seed, int(u)),
                 diagonal=diagonal,
             )
             out.append((int(u), [(v, float(s)) for v, s in result.items]))

@@ -15,11 +15,12 @@ How the pieces fit:
   one `multiprocessing.shared_memory` segment per epoch; workers attach
   the segment and rebuild a read-only engine over zero-copy views
   (:mod:`repro.shard.codec`);
-- each worker scores only the candidates its shard *owns*, but at the
-  conservative θ-floor cutoff (:func:`~repro.shard.worker.score_shard`);
-  the coordinator replays the exact frozen-per-shell adaptive scan over
-  the merged per-candidate records (:func:`~repro.shard.merge.replay_merge`),
-  which is where bit-identity comes from — see `docs/serving.md`;
+- each worker runs the engine's scan over the candidates its shard
+  *owns*, with a heap that never fills, so its cutoff stays at θ
+  (:func:`~repro.shard.worker.score_shard`); the coordinator runs the
+  same scan reading the merged per-candidate records
+  (:func:`~repro.shard.merge.replay_merge`), which is where
+  bit-identity comes from — see `docs/serving.md`;
 - :class:`~repro.shard.pool.ShardPool` owns the worker processes, the
   epoch lifecycle (publish / dual-epoch retention / release), and the
   scatter-gather query path;

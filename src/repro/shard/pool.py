@@ -415,8 +415,10 @@ class ShardPool:
         """
         start = time.perf_counter()
         n = self.plan.n
-        if not 0 <= int(u) < n:
-            raise VertexError(int(u), n)
+        extra = [int(v) for v in extra_candidates] if extra_candidates is not None else None
+        for vertex in (int(u), *(extra or ())):
+            if not 0 <= vertex < n:
+                raise VertexError(vertex, n)
         # Capture the override set once: the same dict travels in every
         # scatter message AND parameterises the replay below, so worker
         # and coordinator configs agree even if set_overrides() lands
@@ -440,9 +442,7 @@ class ShardPool:
                 "use_l2": use_l2,
                 "adaptive": adaptive,
                 "overrides": overrides or None,
-                "extra_candidates": (
-                    list(extra_candidates) if extra_candidates is not None else None
-                ),
+                "extra_candidates": extra,
             }
             results = self._gather(
                 [w.request(msg) for w in self.workers], "query"

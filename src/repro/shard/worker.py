@@ -1,4 +1,4 @@
-"""Shard worker: the conservative θ-floor scorer and the process loop.
+"""Shard worker: the engine's scan over owned candidates, and the process loop.
 
 **Why bit-identity survives sharding.**  Every per-candidate number the
 single-process Algorithm 5 computes is *composition-independent*: batch
@@ -6,15 +6,18 @@ estimates draw from per-candidate derived seeds
 (``derive_seed(batch_seed, v, R)``), γ bounds are row-wise, and the L1
 β-vector depends only on ``(seed, u)``.  The only state that couples
 candidates is the *control flow* — the k-heap cutoff that decides who
-gets pruned, screened, or refined.  So each shard scores its owned
-candidates at the **θ-floor** (the loosest cutoff the real scan can
-ever have, since ``cutoff() = max(θ, kth_best)``): it prunes only what
-θ alone prunes, screens every floor-survivor, and refines everything
-whose screen clears ``θ·screen_slack``.  Because the real cutoff is
-always ≥ θ and ``screen_slack ≤ 1``, the floor decisions are a strict
+gets pruned, screened, or refined.  So each shard runs the engine's own
+prologue and scan (:mod:`repro.core.query`) over the candidates it owns,
+with a heap that never fills: its cutoff stays at θ, the loosest one
+the real scan can ever have (``cutoff() = max(θ, kth_best)``).  It
+prunes only what θ alone prunes, screens every survivor, and refines
+everything whose screen clears ``θ·screen_slack``.  Because the real
+cutoff is always ≥ θ and ``screen_slack ≥ 0``, these decisions are a
 superset of the real scan's — every value the coordinator's replay
 (:func:`repro.shard.merge.replay_merge`) will ask for has been
 computed, with the exact bits the single process would have produced.
+θ-termination depends only on β and θ and is monotone in the distance,
+so keeping only owned shells does not move the point where it stops.
 
 The worker process itself is a small message loop over a duplex pipe:
 ``load_epoch`` attaches a :class:`SharedArrayBundle` and rebuilds the
@@ -23,29 +26,53 @@ a row-level delta segment (edited edges + affected signature/γ rows —
 O(Δ) transport instead of a full re-export; the patched arrays are
 fresh process-local copies, so the delta segment closes immediately
 and the base epoch can still be released), ``release_epoch`` drops an
-epoch (the sanitizer screams if any view survives), ``query``/``pair``
-score, ``health`` reports loaded epochs, ``stop`` exits.  It keeps at
+epoch (the sanitizer screams if any view survives), ``query`` scores,
+``pair`` answers ``engine.single_pair``, ``health`` reports loaded
+epochs, ``stop`` exits.  It keeps at
 most the two newest epochs, so a swap never races an in-flight query.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bounds import compute_alpha_beta, trivial_bound
 from repro.core.engine import SimRankEngine
-from repro.core.montecarlo import SingleSourceEstimator, single_pair_simrank
-from repro.core.query import QueryStats, _gather_candidates
-from repro.errors import VertexError
-from repro.graph.traversal import UNREACHABLE, bfs_distances
+from repro.core.query import (
+    ComputedValues,
+    PreparedQuery,
+    prepare_query,
+    scan_shells,
+    top_k_seed,
+)
 from repro.shard.plan import ShardPlan
-from repro.utils.rng import derive_seed
 
 
-__all__ = ["score_shard", "shard_pair", "worker_main"]
+__all__ = ["score_shard", "worker_main"]
+
+
+class _RecordedValues(ComputedValues):
+    """Computes like the engine and keeps every value it computed."""
+
+    def __init__(self, query: PreparedQuery) -> None:
+        super().__init__(query)
+        self.bounds = np.full(query.ordered.size, np.nan)
+        self.screens = np.full(query.ordered.size, np.nan)
+        self.refines = np.full(query.ordered.size, np.nan)
+
+    def bound(self, lo: int, hi: int, d: int) -> np.ndarray:
+        self.bounds[lo:hi] = values = super().bound(lo, hi, d)
+        return values
+
+    def screen(self, at: np.ndarray) -> np.ndarray:
+        self.screens[at] = values = super().screen(at)
+        return values
+
+    def refine(self, at: np.ndarray) -> np.ndarray:
+        self.refines[at] = values = super().refine(at)
+        return values
 
 
 def score_shard(
@@ -59,160 +86,45 @@ def score_shard(
     adaptive: bool = True,
     extra_candidates: Optional[Sequence[int]] = None,
 ) -> Dict[str, Any]:
-    """θ-floor scoring of the candidates ``shard_id`` owns, for query ``u``.
+    """The engine's scan over the candidates ``shard_id`` owns, for query
+    ``u``, with a heap that never fills (so the cutoff is the θ-floor).
 
     Pure function of ``(engine seed, u, shard assignment)`` — every
     shard sees the *full* candidate set (so the global <2k fallback
-    decision and shell structure replicate exactly) but spends walk
-    budget only on its owned slice.  Returns per-candidate record
-    arrays in (distance, vertex) order plus the β-vector; values the
-    floor never needed are NaN, and by the superset argument above the
-    replay never reads those.
+    decision and β replicate exactly) but spends walk budget only on its
+    owned slice.  Returns per-candidate record arrays in (distance,
+    vertex) order plus the β-vector; values the scan never needed are
+    NaN, and by the superset argument above the replay never reads
+    those.
     """
     # CPU time, not wall clock: workers on an oversubscribed host spend
     # much of each request descheduled, and busy_seconds must mean "the
     # compute this shard performed" for the coordinator's critical-path
     # accounting to hold regardless of core count.
     start_time = time.process_time()
-    graph, index, config = engine.graph, engine.index, engine.config
-    seed = derive_seed(engine.seed, 11, u)
-    if not 0 <= u < graph.n:
-        raise VertexError(u, graph.n)
-    k = k if k is not None else config.k
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    stats = QueryStats()
-    candidates = _gather_candidates(
-        graph, index, u, config, stats,
-        list(extra_candidates) if extra_candidates is not None else None, k,
+    query = prepare_query(
+        engine.graph, engine.index, u, k, engine.config, top_k_seed(engine.seed, u),
+        engine.diagonal, use_l1, use_l2, extra_candidates,
     )
-    empty_f = np.empty(0, dtype=np.float64)
-    result: Dict[str, Any] = {
-        "v": np.empty(0, dtype=np.int64),
-        "d": np.empty(0, dtype=np.int64),
-        "bound": empty_f,
-        "screen": empty_f,
-        "refined": empty_f,
-        "beta": None,
-        "fallback_used": stats.fallback_used,
-        "busy_seconds": 0.0,
+    owned = plan.owned_mask(query.ordered, shard_id)
+    query.ordered, query.distance = query.ordered[owned], query.distance[owned]
+    bounds, screens, refines = (np.full(query.ordered.size, np.nan) for _ in range(3))
+    if query.estimator is not None:
+        # k above the owned count: the heap never fills, the cutoff stays θ.
+        query.k = query.ordered.size + 1
+        values = _RecordedValues(query)
+        scan_shells(query, values, adaptive)
+        bounds, screens, refines = values.bounds, values.screens, values.refines
+    return {
+        "v": query.ordered,
+        "d": query.distance,
+        "bound": bounds,
+        "screen": screens,
+        "refined": refines,
+        "beta": query.beta,
+        "fallback_used": query.stats.fallback_used,
+        "busy_seconds": time.process_time() - start_time,
     }
-    if not candidates:
-        result["busy_seconds"] = time.process_time() - start_time
-        return result
-
-    d_max = config.effective_d_max
-    distances = bfs_distances(graph, u, direction="both", max_distance=d_max)
-
-    l1 = None
-    if use_l1:
-        l1 = compute_alpha_beta(
-            graph,
-            u,
-            config=config,
-            seed=derive_seed(seed, u, 101),
-            diagonal=engine.diagonal,
-            distances=distances,
-        )
-    gamma = index.gamma if (index is not None and use_l2) else None
-    estimator = SingleSourceEstimator(
-        graph, u, config=config, seed=derive_seed(seed, u, 202),
-        diagonal=engine.diagonal,
-    )
-
-    def candidate_distance(v: int) -> int:
-        d = int(distances[v])
-        return d if d != UNREACHABLE else d_max
-
-    ordered = sorted(candidates, key=lambda v: (candidate_distance(v), v))
-    theta = config.theta
-
-    v_rows: List[np.ndarray] = []
-    d_rows: List[np.ndarray] = []
-    bound_rows: List[np.ndarray] = []
-    screen_rows: List[np.ndarray] = []
-    refined_rows: List[np.ndarray] = []
-
-    position = 0
-    terminated = False
-    while position < len(ordered):
-        d = candidate_distance(ordered[position])
-        end = position
-        while end < len(ordered) and candidate_distance(ordered[end]) == d:
-            end += 1
-        if l1 is not None and not terminated:
-            # θ-floor termination: once even θ alone would stop the real
-            # scan, any replay cutoff (≥ θ) stops at or before here.
-            if float(l1.beta[min(d, l1.d_max):].max()) < theta:
-                terminated = True
-        shell_all = ordered[position:end]
-        position = end
-        owned = np.asarray(
-            [v for v in shell_all if plan.shard_of(v) == shard_id], dtype=np.int64
-        )
-        if owned.size == 0:
-            continue
-        v_rows.append(owned)
-        d_rows.append(np.full(owned.size, d, dtype=np.int64))
-        if terminated:
-            nan = np.full(owned.size, np.nan)
-            bound_rows.append(nan)
-            screen_rows.append(nan)
-            refined_rows.append(nan.copy())
-            continue
-
-        bound = np.full(owned.size, trivial_bound(config.c, d))
-        if l1 is not None:
-            bound = np.minimum(bound, l1.bound(d))
-        if gamma is not None:
-            bound = np.minimum(bound, gamma.bound_many(u, owned))
-        screen = np.full(owned.size, np.nan)
-        refined = np.full(owned.size, np.nan)
-        alive = bound >= theta
-        if alive.any():
-            survivors = owned[alive]
-            if adaptive:
-                scores = estimator.estimate_batch(survivors, R=config.r_screen)
-                screen[alive] = scores
-                promote = scores >= theta * config.screen_slack
-                if promote.any():
-                    refined[np.flatnonzero(alive)[promote]] = (
-                        estimator.estimate_batch(survivors[promote], R=config.r_pair)
-                    )
-            else:
-                refined[alive] = estimator.estimate_batch(
-                    survivors, R=config.r_pair
-                )
-        bound_rows.append(bound)
-        screen_rows.append(screen)
-        refined_rows.append(refined)
-
-    if v_rows:
-        result["v"] = np.concatenate(v_rows)
-        result["d"] = np.concatenate(d_rows)
-        result["bound"] = np.concatenate(bound_rows)
-        result["screen"] = np.concatenate(screen_rows)
-        result["refined"] = np.concatenate(refined_rows)
-    result["beta"] = l1.beta if l1 is not None else None
-    result["busy_seconds"] = time.process_time() - start_time
-    return result
-
-
-def shard_pair(engine: SimRankEngine, u: int, v: int) -> float:
-    """Worker-side single-pair score — the engine's exact derivation."""
-    if int(u) == int(v):
-        if not 0 <= int(u) < engine.graph.n:
-            raise VertexError(int(u), engine.graph.n)
-        return 1.0
-    return single_pair_simrank(
-        engine.graph,
-        u,
-        v,
-        config=engine.config,
-        seed=derive_seed(engine.seed, 13, u, v),
-        diagonal=engine.diagonal,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +224,7 @@ def worker_main(conn: Any, shard_id: int) -> None:
                 overrides = msg.get("overrides")
                 if overrides:
                     engine = engine.with_config(**overrides)
-                reply(msg_id, shard_pair(engine, msg["u"], msg["v"]))
+                reply(msg_id, engine.single_pair(msg["u"], msg["v"]))
             elif op == "health":
                 reply(
                     msg_id,

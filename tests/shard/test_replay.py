@@ -13,10 +13,15 @@ from __future__ import annotations
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import SimRankConfig
+from repro.core.engine import SimRankEngine
+from repro.graph.csr import CSRGraph
 from repro.shard.merge import replay_merge
 from repro.shard.plan import ShardPlan
-from repro.shard.worker import score_shard, shard_pair
+from repro.shard.worker import score_shard
 
 
 def scatter_gather(engine, u, n_shards, k=None, **kwargs):
@@ -91,10 +96,59 @@ class TestBitIdentity:
         )
 
 
-class TestShardPair:
-    def test_matches_single_pair(self, shard_engine):
-        for u, v in [(0, 1), (3, 77), (10, 10), (5, 119)]:
-            assert shard_pair(shard_engine, u, v) == shard_engine.single_pair(u, v)
+@st.composite
+def decomposition_cases(draw):
+    """A small graph whose last vertex is isolated, a config and a query."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    vertex = st.integers(min_value=0, max_value=n - 2)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    T = draw(st.sampled_from([3, 4]))
+    config = SimRankConfig(
+        T=T, r_pair=20, r_screen=8, r_alphabeta=30, r_gamma=15,
+        index_walks=3, index_checks=2,
+        theta=draw(st.sampled_from([0.0, 1e-4, 0.05, 0.3])),
+        screen_slack=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        d_max=draw(st.sampled_from([None, 1, T + 3])),
+        fallback_ball_radius=draw(st.sampled_from([0, 1, 2])),
+    )
+    return dict(
+        graph=CSRGraph.from_edges(n, edges),
+        config=config,
+        u=draw(st.integers(min_value=0, max_value=n - 1)),
+        k=draw(st.sampled_from([1, 3, 40])),  # 40 exceeds every candidate count
+        n_shards=draw(st.sampled_from([1, 2, 5, 40])),  # 40 exceeds n
+        flags=dict(
+            use_l1=draw(st.booleans()),
+            use_l2=draw(st.booleans()),
+            adaptive=draw(st.booleans()),
+        ),
+    )
+
+
+class TestDecompositionProperty:
+    """N × ``score_shard`` + ``replay_merge`` == ``engine.top_k`` for inputs
+    the fixed matrix above does not reach: θ = 0 (cutoff driven only by
+    the heap), screen_slack at both ends, d_max below and above T, the
+    isolated-vertex empty path, k above the candidate count and more
+    shards than candidates."""
+
+    @given(decomposition_cases())
+    @settings(max_examples=60, deadline=None)
+    @example(dict(
+        graph=CSRGraph.from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+        config=SimRankConfig(T=3, r_pair=20, r_screen=8, r_alphabeta=30,
+                             r_gamma=15, index_walks=3, index_checks=2,
+                             fallback_ball_radius=0),
+        u=3, k=3, n_shards=2, flags={},
+    ))
+    def test_matches_engine(self, case):
+        engine = SimRankEngine(case["graph"], case["config"], seed=3).preprocess()
+        assert_identical(
+            scatter_gather(
+                engine, case["u"], case["n_shards"], k=case["k"], **case["flags"]
+            ),
+            engine.top_k(case["u"], k=case["k"], **case["flags"]),
+        )
 
 
 class TestWorkerContract:
